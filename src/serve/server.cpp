@@ -78,10 +78,11 @@ struct JobServer::Job {
   bool suspend_requested = false;
   bool snapshot_requested = false;
   wire::SnapshotMsg live_snapshot;  // filled at a step boundary on request
+  // Suspend checkpoints and, once completed, the final particle set live
+  // here on disk, so finished jobs hold no particles in memory.
   std::string spool_path;
   bool has_checkpoint = false;
   double kinetic = 0.0, potential = 0.0;
-  ParticleSet result;
   std::vector<domain::StepReport> reports;
   std::thread runner;
 };
@@ -313,7 +314,15 @@ wire::JobResultMsg JobServer::wait_result(std::int32_t job_id) {
   res.kinetic = job.kinetic;
   res.potential = job.potential;
   res.reason = job.reason;
-  res.parts = job.result;
+  if (job.state != wire::JobState::kCompleted) return res;
+  const std::string path = job.spool_path;
+  lk.unlock();
+  try {
+    res.parts = flatten_snapshot(read_snapshot_file(path));
+  } catch (const std::exception& e) {
+    res.state = wire::JobState::kFailed;
+    res.reason = std::string("completed, but its result is unreadable: ") + e.what();
+  }
   return res;
 }
 
@@ -332,15 +341,12 @@ wire::SnapshotMsg JobServer::handle_snapshot(std::int32_t job_id) {
     cv_.wait(lk, [&] { return !job.snapshot_requested || job.state != wire::JobState::kRunning; });
     if (!job.snapshot_requested && job.live_snapshot.job_id == job.id) return job.live_snapshot;
   }
-  if (job.state == wire::JobState::kSuspended && job.has_checkpoint) {
+  // Suspended checkpoints and completed results are both spool files.
+  if (job.state == wire::JobState::kCompleted ||
+      (job.state == wire::JobState::kSuspended && job.has_checkpoint)) {
     const std::string path = job.spool_path;
     lk.unlock();
     return read_snapshot_file(path);
-  }
-  if (job.state == wire::JobState::kCompleted) {
-    out.next_step = job.steps_done;
-    out.sets.push_back(job.result);
-    return out;
   }
   out.next_step = job.steps_done;
   return out;
@@ -530,12 +536,19 @@ void JobServer::run_job(Job& job) {
       }
     }
 
-    ParticleSet result = sim.gather();
+    // The final state goes to the spool before anyone can see kCompleted;
+    // an unwritable spool fails the job with the path in its reason.
+    {
+      wire::SnapshotMsg final_state;
+      final_state.job_id = job.id;
+      final_state.next_step = sim.next_step();
+      final_state.sets.push_back(sim.gather());
+      write_snapshot_file(job.spool_path, final_state);
+    }
     const double ke = sim.kinetic_energy();
     const double pe = sim.potential_energy();
     if (!cfg_.bench_dir.empty()) write_job_bench(job);
     std::lock_guard<std::mutex> lk(mu_);
-    job.result = std::move(result);
     job.kinetic = ke;
     job.potential = pe;
     free_slots_ += job.ranks;

@@ -21,6 +21,11 @@
 //    frame on disk) and releases its slots. Jobs run the lockstep schedule
 //    with count balancing, so a resumed job continues bit-for-bit — which is
 //    what lets the queue oversubscribe the pool safely.
+//  * Spooled results — a completed job's final particle set is written to
+//    the same spool file and served from there (wait and snapshot replies
+//    read it outside the server lock), so the resident server's memory does
+//    not grow with every job it has finished. An unwritable spool fails the
+//    job with a reason naming the path.
 //  * Per-job isolation — every step's metrics land in the server registry
 //    under a {job=N} label, and each completed job can write its own
 //    --bench-shaped JSON (bench_dir/job-N.json). Nothing of one job appears
@@ -60,7 +65,7 @@ struct ServerLimits {
 struct ServerConfig {
   std::uint16_t port = 0;  // 0: ephemeral, read back via port()
   ServerLimits limits;
-  std::string spool_dir = ".";  // preemption checkpoints: job-<id>.ckpt
+  std::string spool_dir = ".";  // checkpoints and completed results: job-<id>.ckpt
   std::string bench_dir;        // per-job bench JSON: job-<id>.json ("" = off)
 };
 

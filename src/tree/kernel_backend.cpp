@@ -1,5 +1,6 @@
 #include "tree/kernel_backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tree/kernels.hpp"
@@ -9,8 +10,9 @@ namespace bonsai {
 
 namespace {
 
-// Inert padding lane: zero mass at a far-away position, so padded lanes
-// contribute exactly zero without dividing by zero (finite in float too).
+// Inert padding source for leaf runs: zero mass at a far-away position, so
+// padded lanes contribute exactly zero without dividing by zero (finite in
+// float too).
 constexpr double kPadPos = 1e15;
 
 // Source index that never equals a target index: non-self walks and padding
@@ -21,6 +23,176 @@ std::size_t pad_to(std::size_t n) {
   return (n + kKernelBatchPad - 1) / kKernelBatchPad * kKernelBatchPad;
 }
 
+// The vectorized drains. They are namespace-scope free functions (not
+// members) so that both gcc and clang accept the multiversioning attribute:
+// each is compiled for AVX-512, AVX2, FMA (gcc splits "avx2,fma" into two
+// clones) and the portable baseline, and the loader binds the best clone
+// for the running CPU. The loop bodies are always_inline templates so every
+// clone re-vectorizes them for its ISA. The scalar replay stays outside the
+// clones: it is the bitwise reference.
+namespace drain {
+
+// ThreadSanitizer instruments the ifunc resolver, which the loader runs
+// before the TSan runtime exists (a segfault at start-up with gcc 12), so a
+// TSan build drains through the baseline code only.
+#if defined(__SANITIZE_THREAD__)
+#define BNS_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define BNS_TSAN_BUILD 1
+#endif
+#endif
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && !defined(BNS_TSAN_BUILD)
+#define BNS_DRAIN_CLONES __attribute__((target_clones("avx512f", "avx2,fma", "default")))
+#else
+#define BNS_DRAIN_CLONES
+#endif
+
+// Staged cell moments (COM, mass, quadrupole xx, xy, xz, yy, yz, zz).
+template <typename T>
+struct CellSoA {
+  const T *x, *y, *z, *m;
+  const T* q[6];
+};
+
+// Staged leaf sources plus their global index for the self-mask.
+template <typename T>
+struct LeafSoA {
+  const T *x, *y, *z, *m;
+  const std::uint32_t* idx;
+};
+
+// The targets [begin, end) of one batch: positions read, forces accumulated.
+struct TargetSpan {
+  ParticleSet* t;
+  std::uint32_t begin, end;
+};
+
+// p-c, one target per lane (the GPU's one-thread-per-target shape): targets
+// are tiled kKernelBatchPad at a time and each cell's moments are broadcast
+// to every lane, so no horizontal reduction is needed and the cell run needs
+// no padding. Pad lanes of a partial tile repeat the last real target (so
+// they stay finite) and are never written back.
+template <typename T>
+[[gnu::always_inline]] inline void cell_tiles(const CellSoA<T>& c, std::uint32_t begin,
+                                              std::uint32_t end, const TargetSpan& span,
+                                              T eps2) {
+  constexpr std::uint32_t kLanes = kKernelBatchPad;
+  ParticleSet& t = *span.t;
+  for (std::uint32_t i0 = span.begin; i0 < span.end; i0 += kLanes) {
+    const std::uint32_t live = std::min(kLanes, span.end - i0);
+    alignas(64) T tx[kLanes], ty[kLanes], tz[kLanes];
+    alignas(64) T ax[kLanes] = {}, ay[kLanes] = {}, az[kLanes] = {}, pot[kLanes] = {};
+    for (std::uint32_t l = 0; l < kLanes; ++l) {
+      const std::uint32_t i = i0 + std::min(l, live - 1);
+      tx[l] = static_cast<T>(t.x[i]);
+      ty[l] = static_cast<T>(t.y[i]);
+      tz[l] = static_cast<T>(t.z[i]);
+    }
+    for (std::uint32_t j = begin; j < end; ++j) {
+      const T cx = c.x[j], cy = c.y[j], cz = c.z[j], cm = c.m[j];
+      const T q0 = c.q[0][j], q1 = c.q[1][j], q2 = c.q[2][j];
+      const T q3 = c.q[3][j], q4 = c.q[4][j], q5 = c.q[5][j];
+      const T trq = q0 + q3 + q5;
+#pragma omp simd
+      for (std::uint32_t l = 0; l < kLanes; ++l) {
+        const T dx = cx - tx[l];
+        const T dy = cy - ty[l];
+        const T dz = cz - tz[l];
+        const T r2 = dx * dx + dy * dy + dz * dz + eps2;
+        const T rinv = T(1) / std::sqrt(r2);
+        const T rinv2 = rinv * rinv;
+        const T rinv3 = rinv * rinv2;
+        const T rinv5 = rinv3 * rinv2;
+        const T rinv7 = rinv5 * rinv2;
+        const T qx = q0 * dx + q1 * dy + q2 * dz;
+        const T qy = q1 * dx + q3 * dy + q4 * dz;
+        const T qz = q2 * dx + q4 * dy + q5 * dz;
+        const T rqr = dx * qx + dy * qy + dz * qz;
+        pot[l] += -cm * rinv + T(0.5) * trq * rinv3 - T(1.5) * rqr * rinv5;
+        const T s = cm * rinv3 - T(1.5) * trq * rinv5 + T(7.5) * rqr * rinv7;
+        ax[l] += s * dx - T(3) * rinv5 * qx;
+        ay[l] += s * dy - T(3) * rinv5 * qy;
+        az[l] += s * dz - T(3) * rinv5 * qz;
+      }
+    }
+    for (std::uint32_t l = 0; l < live; ++l) {
+      t.ax[i0 + l] += static_cast<double>(ax[l]);
+      t.ay[i0 + l] += static_cast<double>(ay[l]);
+      t.az[i0 + l] += static_cast<double>(az[l]);
+      t.pot[i0 + l] += static_cast<double>(pot[l]);
+    }
+  }
+}
+
+// p-p, one source per lane: each target reduces over the padded source run.
+// The self lane is masked branch-free: zero mass and a biased r2, so the
+// reciprocal square root stays finite even at eps = 0.
+template <typename T>
+[[gnu::always_inline]] inline void leaf_rows(const LeafSoA<T>& s, std::uint32_t begin,
+                                             std::uint32_t padded_end,
+                                             const TargetSpan& span, T eps2) {
+  ParticleSet& t = *span.t;
+  // Plain local pointers: the vectorizer cannot hoist member loads itself.
+  const T* const sx = s.x;
+  const T* const sy = s.y;
+  const T* const sz = s.z;
+  const T* const sm = s.m;
+  const std::uint32_t* const sidx = s.idx;
+  for (std::uint32_t i = span.begin; i < span.end; ++i) {
+    const T tx = static_cast<T>(t.x[i]);
+    const T ty = static_cast<T>(t.y[i]);
+    const T tz = static_cast<T>(t.z[i]);
+    T ax = 0, ay = 0, az = 0, pot = 0;
+#pragma omp simd reduction(+ : ax, ay, az, pot)
+    for (std::uint32_t j = begin; j < padded_end; ++j) {
+      const T keep = sidx[j] == i ? T(0) : T(1);
+      const T dx = sx[j] - tx;
+      const T dy = sy[j] - ty;
+      const T dz = sz[j] - tz;
+      const T r2 = dx * dx + dy * dy + dz * dz + eps2 + (T(1) - keep);
+      const T rinv = T(1) / std::sqrt(r2);
+      const T m = sm[j] * keep;
+      const T mr3 = m * rinv * rinv * rinv;
+      ax += mr3 * dx;
+      ay += mr3 * dy;
+      az += mr3 * dz;
+      pot -= m * rinv;
+    }
+    t.ax[i] += static_cast<double>(ax);
+    t.ay[i] += static_cast<double>(ay);
+    t.az[i] += static_cast<double>(az);
+    t.pot[i] += static_cast<double>(pot);
+  }
+}
+
+BNS_DRAIN_CLONES void cells_f64(const CellSoA<double>& c, std::uint32_t begin,
+                                std::uint32_t end, const TargetSpan& span, double eps2) {
+  cell_tiles(c, begin, end, span, eps2);
+}
+
+BNS_DRAIN_CLONES void cells_f32(const CellSoA<float>& c, std::uint32_t begin,
+                                std::uint32_t end, const TargetSpan& span, float eps2) {
+  cell_tiles(c, begin, end, span, eps2);
+}
+
+BNS_DRAIN_CLONES void leaves_f64(const LeafSoA<double>& s, std::uint32_t begin,
+                                 std::uint32_t padded_end, const TargetSpan& span,
+                                 double eps2) {
+  leaf_rows(s, begin, padded_end, span, eps2);
+}
+
+BNS_DRAIN_CLONES void leaves_f32(const LeafSoA<float>& s, std::uint32_t begin,
+                                 std::uint32_t padded_end, const TargetSpan& span,
+                                 float eps2) {
+  leaf_rows(s, begin, padded_end, span, eps2);
+}
+
+#undef BNS_DRAIN_CLONES
+#undef BNS_TSAN_BUILD
+
+}  // namespace drain
 }  // namespace
 
 const char* kernel_backend_name(KernelBackend backend) {
@@ -93,24 +265,6 @@ void InteractionQueue::push_leaf(const TreeNode& leaf) {
   }
 }
 
-void InteractionQueue::pad_cells() {
-  const std::size_t padded = pad_to(cx_.size());
-  while (cx_.size() < padded) {
-    cx_.push_back(kPadPos);
-    cy_.push_back(kPadPos);
-    cz_.push_back(kPadPos);
-    cm_.push_back(0.0);
-    for (auto& q : cq_) q.push_back(0.0);
-    if (backend_ == KernelBackend::kSimdFloat) {
-      fcx_.push_back(static_cast<float>(kPadPos));
-      fcy_.push_back(static_cast<float>(kPadPos));
-      fcz_.push_back(static_cast<float>(kPadPos));
-      fcm_.push_back(0.0f);
-      for (auto& q : fcq_) q.push_back(0.0f);
-    }
-  }
-}
-
 void InteractionQueue::pad_leaves() {
   const std::size_t padded = pad_to(sx_.size());
   while (sx_.size() < padded) {
@@ -136,16 +290,12 @@ void InteractionQueue::close_cell_run() {
   b.target_end = target_end_;
   b.begin = cell_run_begin_;
   b.end = end;
-  if (backend_ == KernelBackend::kScalar) {
-    b.padded_end = end;
-  } else {
-    pad_cells();
-    b.padded_end = static_cast<std::uint32_t>(cx_.size());
-  }
   const std::uint64_t nt = b.target_end - b.target_begin;
-  const std::uint64_t useful = static_cast<std::uint64_t>(b.end - b.begin) * nt;
+  const std::uint64_t cells = b.end - b.begin;
+  const std::uint64_t useful = cells * nt;
   stats_.p2c += useful;
-  stats_.p2c_padded += static_cast<std::uint64_t>(b.padded_end - b.begin) * nt;
+  // The SIMD drains tile the targets (not the cells) to the lane width.
+  stats_.p2c_padded += backend_ == KernelBackend::kScalar ? useful : cells * pad_to(nt);
   stats_.pc_batches += 1;
   stats_.observe_batch(useful);
   cell_batches_.push_back(b);
@@ -260,94 +410,17 @@ void InteractionQueue::drain_cell_batch(const Batch& b) const {
     return;
   }
 
+  const drain::TargetSpan targets{&t, b.target_begin, b.target_end};
   if (backend_ == KernelBackend::kSimd) {
-    const double* const cx = cx_.data();
-    const double* const cy = cy_.data();
-    const double* const cz = cz_.data();
-    const double* const cm = cm_.data();
-    const double* const q0 = cq_[0].data();
-    const double* const q1 = cq_[1].data();
-    const double* const q2 = cq_[2].data();
-    const double* const q3 = cq_[3].data();
-    const double* const q4 = cq_[4].data();
-    const double* const q5 = cq_[5].data();
-    for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-      const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-      double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-      for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-        const double dx = cx[j] - tx;
-        const double dy = cy[j] - ty;
-        const double dz = cz[j] - tz;
-        const double r2 = dx * dx + dy * dy + dz * dz + eps2;
-        const double rinv = 1.0 / std::sqrt(r2);
-        const double rinv2 = rinv * rinv;
-        const double rinv3 = rinv * rinv2;
-        const double rinv5 = rinv3 * rinv2;
-        const double rinv7 = rinv5 * rinv2;
-        const double qx = q0[j] * dx + q1[j] * dy + q2[j] * dz;
-        const double qy = q1[j] * dx + q3[j] * dy + q4[j] * dz;
-        const double qz = q2[j] * dx + q4[j] * dy + q5[j] * dz;
-        const double rqr = dx * qx + dy * qy + dz * qz;
-        const double trq = q0[j] + q3[j] + q5[j];
-        pot += -cm[j] * rinv + 0.5 * trq * rinv3 - 1.5 * rqr * rinv5;
-        const double s = cm[j] * rinv3 - 1.5 * trq * rinv5 + 7.5 * rqr * rinv7;
-        ax += s * dx - 3.0 * rinv5 * qx;
-        ay += s * dy - 3.0 * rinv5 * qy;
-        az += s * dz - 3.0 * rinv5 * qz;
-      }
-      t.ax[i] += ax;
-      t.ay[i] += ay;
-      t.az[i] += az;
-      t.pot[i] += pot;
-    }
-    return;
-  }
-
-  // kSimdFloat: the paper's single-precision device arithmetic, accumulated
-  // into the double target arrays once per batch.
-  const float feps2 = static_cast<float>(eps2);
-  const float* const cx = fcx_.data();
-  const float* const cy = fcy_.data();
-  const float* const cz = fcz_.data();
-  const float* const cm = fcm_.data();
-  const float* const q0 = fcq_[0].data();
-  const float* const q1 = fcq_[1].data();
-  const float* const q2 = fcq_[2].data();
-  const float* const q3 = fcq_[3].data();
-  const float* const q4 = fcq_[4].data();
-  const float* const q5 = fcq_[5].data();
-  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const float tx = static_cast<float>(t.x[i]);
-    const float ty = static_cast<float>(t.y[i]);
-    const float tz = static_cast<float>(t.z[i]);
-    float ax = 0.0f, ay = 0.0f, az = 0.0f, pot = 0.0f;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-    for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-      const float dx = cx[j] - tx;
-      const float dy = cy[j] - ty;
-      const float dz = cz[j] - tz;
-      const float r2 = dx * dx + dy * dy + dz * dz + feps2;
-      const float rinv = 1.0f / std::sqrt(r2);
-      const float rinv2 = rinv * rinv;
-      const float rinv3 = rinv * rinv2;
-      const float rinv5 = rinv3 * rinv2;
-      const float rinv7 = rinv5 * rinv2;
-      const float qx = q0[j] * dx + q1[j] * dy + q2[j] * dz;
-      const float qy = q1[j] * dx + q3[j] * dy + q4[j] * dz;
-      const float qz = q2[j] * dx + q4[j] * dy + q5[j] * dz;
-      const float rqr = dx * qx + dy * qy + dz * qz;
-      const float trq = q0[j] + q3[j] + q5[j];
-      pot += -cm[j] * rinv + 0.5f * trq * rinv3 - 1.5f * rqr * rinv5;
-      const float s = cm[j] * rinv3 - 1.5f * trq * rinv5 + 7.5f * rqr * rinv7;
-      ax += s * dx - 3.0f * rinv5 * qx;
-      ay += s * dy - 3.0f * rinv5 * qy;
-      az += s * dz - 3.0f * rinv5 * qz;
-    }
-    t.ax[i] += static_cast<double>(ax);
-    t.ay[i] += static_cast<double>(ay);
-    t.az[i] += static_cast<double>(az);
-    t.pot[i] += static_cast<double>(pot);
+    drain::cells_f64({cx_.data(), cy_.data(), cz_.data(), cm_.data(),
+                      {cq_[0].data(), cq_[1].data(), cq_[2].data(), cq_[3].data(),
+                       cq_[4].data(), cq_[5].data()}},
+                     b.begin, b.end, targets, eps2);
+  } else {
+    drain::cells_f32({fcx_.data(), fcy_.data(), fcz_.data(), fcm_.data(),
+                      {fcq_[0].data(), fcq_[1].data(), fcq_[2].data(), fcq_[3].data(),
+                       fcq_[4].data(), fcq_[5].data()}},
+                     b.begin, b.end, targets, static_cast<float>(eps2));
   }
 }
 
@@ -371,70 +444,13 @@ void InteractionQueue::drain_leaf_batch(const Batch& b) const {
     return;
   }
 
-  const std::uint32_t* const sidx = sidx_.data();
-
+  const drain::TargetSpan targets{&t, b.target_begin, b.target_end};
   if (backend_ == KernelBackend::kSimd) {
-    const double* const sx = sx_.data();
-    const double* const sy = sy_.data();
-    const double* const sz = sz_.data();
-    const double* const sm = sm_.data();
-    for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-      const double tx = t.x[i], ty = t.y[i], tz = t.z[i];
-      double ax = 0.0, ay = 0.0, az = 0.0, pot = 0.0;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-      for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-        // Branch-free self-mask: the self lane gets zero mass and a biased
-        // r2 so the rsqrt stays finite even at eps = 0.
-        const double keep = sidx[j] == i ? 0.0 : 1.0;
-        const double dx = sx[j] - tx;
-        const double dy = sy[j] - ty;
-        const double dz = sz[j] - tz;
-        const double r2 = dx * dx + dy * dy + dz * dz + eps2 + (1.0 - keep);
-        const double rinv = 1.0 / std::sqrt(r2);
-        const double m = sm[j] * keep;
-        const double mr3 = m * rinv * rinv * rinv;
-        ax += mr3 * dx;
-        ay += mr3 * dy;
-        az += mr3 * dz;
-        pot -= m * rinv;
-      }
-      t.ax[i] += ax;
-      t.ay[i] += ay;
-      t.az[i] += az;
-      t.pot[i] += pot;
-    }
-    return;
-  }
-
-  const float feps2 = static_cast<float>(eps2);
-  const float* const sx = fsx_.data();
-  const float* const sy = fsy_.data();
-  const float* const sz = fsz_.data();
-  const float* const sm = fsm_.data();
-  for (std::uint32_t i = b.target_begin; i < b.target_end; ++i) {
-    const float tx = static_cast<float>(t.x[i]);
-    const float ty = static_cast<float>(t.y[i]);
-    const float tz = static_cast<float>(t.z[i]);
-    float ax = 0.0f, ay = 0.0f, az = 0.0f, pot = 0.0f;
-#pragma omp simd reduction(+ : ax, ay, az, pot)
-    for (std::uint32_t j = b.begin; j < b.padded_end; ++j) {
-      const float keep = sidx[j] == i ? 0.0f : 1.0f;
-      const float dx = sx[j] - tx;
-      const float dy = sy[j] - ty;
-      const float dz = sz[j] - tz;
-      const float r2 = dx * dx + dy * dy + dz * dz + feps2 + (1.0f - keep);
-      const float rinv = 1.0f / std::sqrt(r2);
-      const float m = sm[j] * keep;
-      const float mr3 = m * rinv * rinv * rinv;
-      ax += mr3 * dx;
-      ay += mr3 * dy;
-      az += mr3 * dz;
-      pot -= m * rinv;
-    }
-    t.ax[i] += static_cast<double>(ax);
-    t.ay[i] += static_cast<double>(ay);
-    t.az[i] += static_cast<double>(az);
-    t.pot[i] += static_cast<double>(pot);
+    drain::leaves_f64({sx_.data(), sy_.data(), sz_.data(), sm_.data(), sidx_.data()}, b.begin,
+                      b.padded_end, targets, eps2);
+  } else {
+    drain::leaves_f32({fsx_.data(), fsy_.data(), fsz_.data(), fsm_.data(), sidx_.data()},
+                      b.begin, b.padded_end, targets, static_cast<float>(eps2));
   }
 }
 

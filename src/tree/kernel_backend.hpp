@@ -11,18 +11,21 @@
 // Backends:
 //   scalar     — replays today's pp_kernel/pc_kernel per staged interaction,
 //                in staged order: the correctness reference.
-//   simd       — dense double-precision SoA inner loops over padded batches
-//                (#pragma omp simd with explicit reductions, so the loops
-//                vectorize under strict FP semantics).
+//   simd       — dense double-precision SoA drains, #pragma omp simd loops
+//                multiversioned per ISA (AVX-512, AVX2, baseline).
 //   simd-float — the paper's single-precision device path: float sources and
 //                float batch arithmetic, accumulated into the double target
 //                arrays once per batch.
 //
-// Batches are padded to the SIMD width with inert lanes (zero mass, far-away
-// position) and self-interactions are masked per lane instead of branched
-// around, so the inner loops are branch-free. InteractionStats carries both
-// the useful and the padded interaction counts (util/flops.hpp) so the
-// Gflop/s accounting stays honest.
+// The SIMD drains have two lane shapes. p-c puts one *target* per lane (the
+// GPU's one-thread-per-target shape): targets are tiled to the lane width
+// and each cell is broadcast, so cell runs need no padding and a partial
+// tile's spare lanes are computed but never written back. p-p puts one
+// *source* per lane: leaf runs are padded with inert sources (zero mass,
+// far-away position) and the self-pair is masked per lane instead of
+// branched around, so the inner loops are branch-free. InteractionStats
+// carries both the useful and the padded interaction counts
+// (util/flops.hpp) so the Gflop/s accounting stays honest.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +49,8 @@ enum class KernelBackend : std::uint8_t {
 const char* kernel_backend_name(KernelBackend backend);
 std::optional<KernelBackend> kernel_backend_from_name(std::string_view name);
 
-// Lanes a batch is padded to. 8 doubles = one AVX-512 vector (two AVX2).
+// SIMD lane width: the p-c target tile and the p-p leaf-run padding.
+// 8 doubles = one AVX-512 vector (two AVX2).
 inline constexpr std::size_t kKernelBatchPad = 8;
 
 // Per-walk parameters shared by every batch of one group walk.
@@ -97,7 +101,7 @@ class InteractionQueue {
     std::uint32_t target_begin = 0, target_end = 0;
     std::uint32_t begin = 0;         // staged-slot range [begin, end)
     std::uint32_t end = 0;           // useful slots
-    std::uint32_t padded_end = 0;    // end of the padded range
+    std::uint32_t padded_end = 0;    // end of the padded range (leaf runs)
     std::uint64_t self_pairs = 0;    // masked self-interactions (leaf batches)
   };
 
@@ -106,7 +110,6 @@ class InteractionQueue {
   void flush();
   void drain_cell_batch(const Batch& b) const;
   void drain_leaf_batch(const Batch& b) const;
-  void pad_cells();
   void pad_leaves();
 
   std::size_t capacity_;

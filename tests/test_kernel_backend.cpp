@@ -1,12 +1,14 @@
 // The batched interaction-list engine: backend name parsing, cross-backend
 // force agreement against the inline reference walk, useful-vs-padded flops
-// accounting, batch edge cases and queue overflow/flush behaviour.
+// accounting, batch and target-tile edge cases and queue overflow/flush
+// behaviour.
 #include "tree/kernel_backend.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "tree/octree.hpp"
@@ -303,21 +305,133 @@ TEST(KernelBackend, TinyCapacityFlushesMidWalkAndMatches) {
   }
 }
 
+// A handcrafted LET-style source for the tile-edge cases: an internal root
+// the MAC never accepts over `ncells` multipole leaves and one particle leaf
+// over `leaf`, so every group stages exactly one cell run of `ncells` cells
+// and one leaf run of leaf.size() sources.
+std::vector<TreeNode> tile_edge_nodes(std::uint32_t ncells, const ParticleSet& leaf) {
+  std::vector<TreeNode> nodes(ncells + 2);
+  nodes[0].kind = NodeKind::kInternal;
+  nodes[0].part_begin = 0;
+  nodes[0].part_end = static_cast<std::uint32_t>(leaf.size());
+  nodes[0].first_child = 1;
+  nodes[0].num_children = static_cast<std::uint8_t>(ncells + 1);
+  nodes[0].rcrit = 1e30;  // never MAC-accepted
+  for (std::uint32_t c = 1; c <= ncells; ++c) {
+    nodes[c].kind = NodeKind::kMultipoleLeaf;
+    nodes[c].mp.mass = 0.5 + 0.25 * c;
+    nodes[c].mp.com = {-2.0 - 0.5 * c, 1.5, 0.25 * c};
+    nodes[c].mp.quad.add_outer({0.1 * c, -0.2, 0.05}, nodes[c].mp.mass);
+  }
+  TreeNode& leaf_node = nodes[ncells + 1];
+  leaf_node.kind = NodeKind::kParticleLeaf;
+  leaf_node.part_begin = 0;
+  leaf_node.part_end = static_cast<std::uint32_t>(leaf.size());
+  leaf_node.rcrit = 1e30;  // opened, never accepted
+  return nodes;
+}
+
+TEST(KernelBackend, TargetTileEdgesMatchScalarAndStayInRange) {
+  // Groups of 1, 7, 8 and 9 targets cover a lone lane, a partial tile, an
+  // exact tile and a tile plus one; ncells = 1 is a single-cell run. The
+  // SIMD drains must agree with the scalar replay and never write a target
+  // outside [target_begin, target_end) -- the pad lanes of a partial tile
+  // are computed but discarded.
+  const ParticleSet targets = [] {
+    ParticleSet t = clustered_cloud(40, 131);
+    sfc::KeySpace space(t.bounds());
+    sort_by_keys(t, space);
+    return t;
+  }();
+  ParticleSet leaf = clustered_cloud(13, 137);
+  for (std::size_t j = 0; j < leaf.size(); ++j) leaf.x[j] += 3.0;  // well separated
+
+  constexpr double kUntouched = 7.25;
+  const auto run = [&](const std::vector<TreeNode>& nodes, const TargetGroup& g,
+                       KernelBackend b, ParticleSet& out) {
+    out = targets;
+    out.zero_forces();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (i >= g.begin && i < g.end) continue;
+      out.ax[i] = out.ay[i] = out.az[i] = out.pot[i] = kUntouched;
+    }
+    TraversalConfig cfg;
+    cfg.eps = 1e-2;
+    cfg.backend = b;
+    InteractionQueue queue;
+    const TreeView view{nodes, leaf.x, leaf.y, leaf.z, leaf.mass};
+    return traverse_one_group_batched(view, out, g, cfg, /*self=*/false, queue);
+  };
+
+  for (const std::uint32_t ncells : {1u, 3u}) {
+    const std::vector<TreeNode> nodes = tile_edge_nodes(ncells, leaf);
+    for (const std::uint32_t nt : {1u, 7u, 8u, 9u}) {
+      TargetGroup g;
+      g.begin = 5;
+      g.end = 5 + nt;
+      for (std::uint32_t i = g.begin; i < g.end; ++i) g.box.expand(targets.pos(i));
+      ParticleSet scalar;
+      const InteractionStats scalar_stats = run(nodes, g, KernelBackend::kScalar, scalar);
+      EXPECT_EQ(scalar_stats.p2c, std::uint64_t{ncells} * nt);
+      EXPECT_EQ(scalar_stats.p2p, leaf.size() * nt);
+      EXPECT_EQ(scalar_stats.p2c_padded, scalar_stats.p2c);
+
+      for (const KernelBackend b : {KernelBackend::kSimd, KernelBackend::kSimdFloat}) {
+        SCOPED_TRACE(std::string(kernel_backend_name(b)) + " ncells=" +
+                     std::to_string(ncells) + " nt=" + std::to_string(nt));
+        ParticleSet got;
+        const InteractionStats stats = run(nodes, g, b, got);
+        EXPECT_EQ(stats.p2c, scalar_stats.p2c);
+        EXPECT_EQ(stats.p2p, scalar_stats.p2p);
+        const std::uint64_t tile = (nt + kKernelBatchPad - 1) / kKernelBatchPad * kKernelBatchPad;
+        EXPECT_EQ(stats.p2c_padded, tile * ncells);
+        EXPECT_GE(stats.padded_flops(), stats.useful_flops());
+
+        const double tol = b == KernelBackend::kSimdFloat ? 1e-5 : 1e-12;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          if (i >= g.begin && i < g.end) {
+            const double ref = norm(scalar.acc(i));
+            EXPECT_LT(norm(got.acc(i) - scalar.acc(i)) / ref, tol) << "target " << i;
+            EXPECT_LT(std::abs(got.pot[i] - scalar.pot[i]) / std::abs(scalar.pot[i]), tol)
+                << "target " << i;
+          } else {
+            EXPECT_EQ(got.ax[i], kUntouched) << "wrote outside the group at " << i;
+            EXPECT_EQ(got.ay[i], kUntouched) << "wrote outside the group at " << i;
+            EXPECT_EQ(got.az[i], kUntouched) << "wrote outside the group at " << i;
+            EXPECT_EQ(got.pot[i], kUntouched) << "wrote outside the group at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelBackend, FlopAccountingInvariants) {
   WalkSetup s = make_setup(1024, 113, 0.4);
   TraversalConfig cfg;
   cfg.eps = 1e-2;
-  ParticleSet out;
-  const InteractionStats stats = batched_forces(s, out, KernelBackend::kSimd, cfg);
-
-  EXPECT_EQ(stats.useful_flops(), stats.p2p * kFlopsPerPP + stats.p2c * kFlopsPerPC);
-  EXPECT_EQ(stats.padded_flops(),
-            stats.p2p_padded * kFlopsPerPP + stats.p2c_padded * kFlopsPerPC);
-  EXPECT_GE(stats.padded_flops(), stats.useful_flops());
-  // Every drained batch appears exactly once in the histogram.
-  std::uint64_t hist_total = 0;
-  for (const std::uint64_t c : stats.batch_hist) hist_total += c;
-  EXPECT_EQ(hist_total, stats.batches());
+  for (const KernelBackend b :
+       {KernelBackend::kScalar, KernelBackend::kSimd, KernelBackend::kSimdFloat}) {
+    ParticleSet out;
+    const InteractionStats stats = batched_forces(s, out, b, cfg);
+    EXPECT_EQ(stats.useful_flops(), stats.p2p * kFlopsPerPP + stats.p2c * kFlopsPerPC);
+    EXPECT_EQ(stats.padded_flops(),
+              stats.p2p_padded * kFlopsPerPP + stats.p2c_padded * kFlopsPerPC);
+    EXPECT_GE(stats.padded_flops(), stats.useful_flops()) << kernel_backend_name(b);
+    EXPECT_LE(stats.fill_ratio(), 1.0);
+    if (b == KernelBackend::kScalar) {
+      EXPECT_EQ(stats.p2c_padded, stats.p2c);
+    } else {
+      // p-c pads whole target tiles: every batch evaluates a multiple of the
+      // lane width per cell, so the total is one too.
+      EXPECT_EQ(stats.p2c_padded % kKernelBatchPad, 0u) << kernel_backend_name(b);
+      EXPECT_GE(stats.p2c_padded, stats.p2c);
+    }
+    // Every drained batch appears exactly once in the histogram.
+    std::uint64_t hist_total = 0;
+    for (const std::uint64_t c : stats.batch_hist) hist_total += c;
+    EXPECT_EQ(hist_total, stats.batches());
+  }
 
   // observe_batch buckets by floor(log2): bucket b covers [2^b, 2^(b+1)).
   InteractionStats h;

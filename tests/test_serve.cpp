@@ -1,11 +1,13 @@
 // Job-server subsystem: snapshot files round-trip bit-for-bit, admission
 // control rejects with the limit's name, the rank-pool scheduler runs jobs
 // concurrently and preempts by priority, a preempted-and-resumed job ends
-// bit-for-bit identical to an uninterrupted run, and per-job metrics/bench
-// outputs never mix jobs.
+// bit-for-bit identical to an uninterrupted run, completed results are
+// served from the spool bit for bit (and an unwritable spool fails the job),
+// and per-job metrics/bench outputs never mix jobs.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -361,6 +363,69 @@ TEST(Serve, SnapshotOfRunningJobAndMetricsIsolation) {
               std::string::npos)
         << "cross-job data in bench for job " << id;
   }
+}
+
+TEST(Serve, CompletedJobIsServedFromItsSpoolBitForBit) {
+  // A finished job's particles live in its spool file, not in the server:
+  // every wait and every snapshot reads them back, and each read must equal
+  // the uninterrupted run bit for bit.
+  ServerConfig cfg = test_server_config("spooled-result");
+  cfg.limits.pool_slots = 2;
+  JobServer server(cfg);
+
+  wire::JobSpec spec = small_job(1500, 3);
+  spec.ranks = 2;
+  const auto st = serve::submit_job(kHost, server.port(), spec);
+  ASSERT_NE(st.state, wire::JobState::kRejected) << st.reason;
+  const auto first = serve::wait_job(kHost, server.port(), st.job_id);
+  ASSERT_EQ(first.state, wire::JobState::kCompleted) << first.reason;
+  EXPECT_EQ(first.steps_done, 3);
+  EXPECT_TRUE(std::ifstream(cfg.spool_dir + "/job-" + std::to_string(st.job_id) + ".ckpt").good())
+      << "completed result was not spooled";
+
+  domain::Simulation ref(job_sim_config(2, spec));
+  ref.init(make_plummer(spec.n, spec.seed));
+  for (int s = 0; s < spec.steps; ++s) ref.step();
+  const ParticleSet expected = ref.gather();
+  expect_same_particles(first.parts, expected);
+
+  for (int again = 0; again < 2; ++again) {
+    const auto res = serve::wait_job(kHost, server.port(), st.job_id);
+    ASSERT_EQ(res.state, wire::JobState::kCompleted);
+    EXPECT_EQ(res.kinetic, first.kinetic);
+    EXPECT_EQ(res.potential, first.potential);
+    expect_same_particles(res.parts, expected);
+  }
+  const wire::SnapshotMsg snap = serve::fetch_snapshot(kHost, server.port(), st.job_id);
+  EXPECT_EQ(snap.job_id, st.job_id);
+  EXPECT_EQ(snap.next_step, 3);
+  ASSERT_EQ(snap.sets.size(), 1u);
+  expect_same_particles(snap.sets[0], expected);
+}
+
+TEST(Serve, UnwritableSpoolFailsTheJobNamingThePath) {
+  // A regular file stands where the spool directory should be: the job
+  // cannot spool its result, so it must end kFailed (not hang, not report
+  // success) with a reason that names the path it could not write.
+  ServerConfig cfg = test_server_config("spool-is-a-file");
+  std::filesystem::remove_all(cfg.spool_dir);
+  std::ofstream(cfg.spool_dir) << "not a directory\n";
+  JobServer server(cfg);
+
+  const auto st = serve::submit_job(kHost, server.port(), small_job(512, 1));
+  ASSERT_NE(st.state, wire::JobState::kRejected) << st.reason;
+  const auto res = serve::wait_job(kHost, server.port(), st.job_id);
+  EXPECT_EQ(res.state, wire::JobState::kFailed);
+  EXPECT_NE(res.reason.find(cfg.spool_dir + "/job-" + std::to_string(st.job_id) + ".ckpt"),
+            std::string::npos)
+      << res.reason;
+  EXPECT_EQ(res.parts.size(), 0u);
+
+  // The failed job released its slots: the pool is whole again.
+  const auto metrics = serve::fetch_metrics(kHost, server.port());
+  EXPECT_EQ(metrics.gauges.at("server.pool.slots_free"),
+            metrics.gauges.at("server.pool.slots_total"));
+  std::filesystem::remove(cfg.spool_dir);
 }
 
 }  // namespace
